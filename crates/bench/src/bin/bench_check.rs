@@ -17,13 +17,12 @@
 //!   (when present, i.e. the bench ran with `--faults`) every
 //!   `resilience` row is `bytes_equal` against the *extended* simulator
 //!   with a finite faulted/clean makespan ratio at or above 1.0;
-//! * **`--solve`** — ULV residuals stay below 1e-10 and the batched vs
-//!   per-node schedule gap below 1e-13, ULV preconditioning never takes
-//!   more iterations than the unpreconditioned solve, every sweep row is
-//!   `bytes_equal` with its measured/simulated makespan ratio in the
-//!   band and its pipelined makespan no worse than synchronous, and every
-//!   `krylov_residency` row shows resident vector traffic strictly below
-//!   staged;
+//! * **`--solve`** — ULV residuals stay below 1e-10, ULV preconditioning
+//!   never takes more iterations than the unpreconditioned solve, every
+//!   sweep row is `bytes_equal` with its measured/simulated makespan ratio
+//!   in the band and its pipelined makespan no worse than synchronous, and
+//!   every `krylov_residency` row shows resident vector traffic strictly
+//!   below staged;
 //! * **`--kernels`** — the packed GEMM beats the naive kernel at every
 //!   size ≥ `--gemm-floor-n` and all throughput numbers are positive;
 //! * **`--serve`** — every blocked-sweep amortization row is
@@ -196,10 +195,6 @@ fn check_solve(path: &str, band: f64) {
         let residual = num(row, "residual", &ctx);
         if residual > 1e-10 {
             fail(&format!("{ctx}: ULV residual {residual:.2e} > 1e-10"));
-        }
-        let gap = num(row, "schedule_gap", &ctx);
-        if gap > 1e-13 {
-            fail(&format!("{ctx}: batched vs per-node gap {gap:.2e} > 1e-13"));
         }
     }
     for (i, row) in rows(&json, "krylov", path).iter().enumerate() {

@@ -1,14 +1,11 @@
 //! Solver-stack benchmark: ULV factor + solve in both side layouts,
-//! batched vs per-node elimination, ULV-preconditioned Krylov iteration
-//! counts, and the fabric-sharded solve sweep at D ∈ {1, 2, 4} — emitting
-//! `BENCH_solve.json`.
+//! ULV-preconditioned Krylov iteration counts, and the fabric-sharded
+//! solve sweep at D ∈ {1, 2, 4} — emitting `BENCH_solve.json`.
 //!
 //! Reported:
 //!
-//! * **factor/solve** — wall clock of the batched per-level elimination
-//!   vs the retained per-node reference (same arithmetic, different
-//!   schedule; on this container both run the same cores, so parity is
-//!   the expected outcome and the *multi-device* claims below are made in
+//! * **factor/solve** — wall clock of the level-mapped elimination and of
+//!   one blocked solve (the *multi-device* claims below are made in
 //!   modeled makespan, never wall clock), plus the residual on the
 //!   compressed operator and the root-system size;
 //! * **Krylov** — iteration counts of PCG (symmetric) and GMRES
@@ -44,7 +41,7 @@
 //! [--trace trace.json] [--smoke]`
 //!
 //! `--trace` attaches one tracer to every runtime and fabric in the run
-//! (construction phases, ULV level spans, sweep job spans, Krylov
+//! (construction phases, sweep job spans, Krylov
 //! iteration instants) and writes a Chrome-trace JSON at exit.
 
 use h2_bench::{BenchReport, TraceSink};
@@ -99,12 +96,10 @@ struct FactorRow {
     regime: &'static str,
     prec: Precision,
     n: usize,
-    batched_ms: f64,
-    per_node_ms: f64,
+    factor_ms: f64,
     solve_ms: f64,
     residual: f64,
     root_size: usize,
-    schedule_gap: f64,
 }
 
 struct KrylovRow {
@@ -183,13 +178,10 @@ fn run_regime(
     };
     shift_diag(&mut h2, 3.0);
 
-    // ---- factor: batched vs per-node elimination ----
+    // ---- factor + solve ----
     let t0 = Instant::now();
-    let ulv = UlvFactor::new(&h2).expect("batched ULV");
-    let batched_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let reference = UlvFactor::new_per_node(&h2).expect("per-node ULV");
-    let per_node_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let ulv = UlvFactor::new(&h2).expect("ULV factor");
+    let factor_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let b = gaussian_mat(n, rhs, 0x50F7);
     let t0 = Instant::now();
@@ -199,24 +191,14 @@ fn run_regime(
     r.axpy(-1.0, &b);
     let residual = r.norm_fro() / b.norm_fro();
     assert!(residual < 1e-10, "{regime}: ULV residual {residual}");
-    let xr = reference.solve(&b);
-    let mut d = x.clone();
-    d.axpy(-1.0, &xr);
-    let schedule_gap = d.norm_fro() / xr.norm_fro().max(1e-300);
-    assert!(
-        schedule_gap <= 1e-13,
-        "{regime}: batched vs per-node gap {schedule_gap}"
-    );
     factor_rows.push(FactorRow {
         regime,
         prec,
         n,
-        batched_ms,
-        per_node_ms,
+        factor_ms,
         solve_ms,
         residual,
         root_size: ulv.root_size(),
-        schedule_gap,
     });
 
     // ---- Krylov: iteration counts with/without the ULV sweep ----
@@ -417,10 +399,10 @@ fn main() {
     };
 
     println!(
-        "# Solver stack: ULV (batched per-level elimination) + fabric-sharded sweeps\n\
+        "# Solver stack: ULV (level-mapped elimination) + fabric-sharded sweeps\n\
          # (multi-device numbers are modeled makespan under the weak-compute /\n\
-         # A100-class device models — this container is single-core, so wall\n\
-         # clock is only reported for the schedule comparison on one machine)\n"
+         # A100-class device models; wall clock is only reported for the\n\
+         # single-host factor and solve)\n"
     );
 
     let sink = TraceSink::from_args(&args);
@@ -460,24 +442,20 @@ fn main() {
         "regime",
         "prec",
         "N",
-        "batched factor (ms)",
-        "per-node factor (ms)",
+        "factor (ms)",
         "solve (ms)",
         "residual",
         "root",
-        "schedule gap",
     ]);
     for r in &factor_rows {
         h2_bench::row(&[
             r.regime.to_string(),
             r.prec.name().to_string(),
             r.n.to_string(),
-            format!("{:.1}", r.batched_ms),
-            format!("{:.1}", r.per_node_ms),
+            format!("{:.1}", r.factor_ms),
             format!("{:.1}", r.solve_ms),
             format!("{:.2e}", r.residual),
             r.root_size.to_string(),
-            format!("{:.1e}", r.schedule_gap),
         ]);
     }
 
@@ -599,12 +577,10 @@ fn main() {
                         ("regime", Json::str(r.regime)),
                         ("precision", Json::str(r.prec.name())),
                         ("n", Json::u64(r.n as u64)),
-                        ("batched_factor_ms", Json::Num(r.batched_ms)),
-                        ("per_node_factor_ms", Json::Num(r.per_node_ms)),
+                        ("factor_ms", Json::Num(r.factor_ms)),
                         ("solve_ms", Json::Num(r.solve_ms)),
                         ("residual", Json::Num(r.residual)),
                         ("root_size", Json::u64(r.root_size as u64)),
-                        ("schedule_gap", Json::Num(r.schedule_gap)),
                     ])
                 })
                 .collect(),

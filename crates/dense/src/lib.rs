@@ -24,7 +24,6 @@
 pub mod aca;
 pub mod cpqr;
 pub mod gemm;
-pub mod krylov;
 pub mod lu;
 pub mod mat;
 pub mod op;
@@ -40,7 +39,6 @@ pub use gemm::{
     dispatched_mr, gemm, gemm_mixed, gemm_naive, gemm_rhs, gemv, matmul, par_gemm, simd_tier, Op,
     SimdTier,
 };
-pub use krylov::{cg, hutchinson_trace, power_eig_max, SolveResult};
 pub use lu::{cholesky_in_place, cholesky_solve, lu_factor, LuFactor};
 pub use mat::{Mat, MatMut, MatRef};
 pub use op::{estimate_norm_2, relative_error_2, DenseOp, DiffOp, EntryAccess, LinOp};

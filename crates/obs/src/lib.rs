@@ -22,7 +22,6 @@
 //! |---|---|---|
 //! | `phase` | `Runtime::phase` | one profiled runtime phase (Sketch, QR, ID, …) |
 //! | `construct` | `h2_core::construct` | one level of Algorithm 1's bottom-up loop |
-//! | `ulv` | `h2_solve::ulv` | one per-level batched factor phase (rotate/eliminate/pass-up) |
 //! | `krylov` | `h2_solve::krylov` | one Krylov iteration (instant, with the residual) |
 //! | `job` | fabric workers | one enqueued job on a device track (wait + run) |
 //! | `fabric` | fabric control path | enqueue/flush/epoch-close instants |

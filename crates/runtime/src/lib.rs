@@ -18,10 +18,7 @@
 //!   (`batchedRand`, `batchedGen`, `batchedID`, `batchedShrink`,
 //!   `batchedGemm`, marshaling gathers),
 //! * [`bsr`] — the `batchedBSRGemm` with the paper's `Csp`-slot
-//!   conflict-free decomposition,
-//! * [`solve_ops`] — the batched *solver* primitives (variable-size QR/LU,
-//!   triangular and LU solves, Q application) the per-level ULV elimination
-//!   is built from, accounted with the same simulator formulas.
+//!   conflict-free decomposition.
 
 pub mod batch;
 pub mod bsr;
@@ -30,7 +27,6 @@ pub mod ops;
 pub mod profile;
 pub mod runtime;
 pub mod shard;
-pub mod solve_ops;
 
 pub use batch::{cost_chunk_bounds, VarBatch};
 pub use bsr::{bsr_gemm, bsr_gemm_stream, hint_bsr_fetches, BsrBlock, BsrPattern};
@@ -52,7 +48,4 @@ pub use runtime::{Backend, Runtime};
 pub use shard::{
     chunk_bounds, FetchKey, FetchPlanner, PipelineMode, ShardDispatch, ShardJob, Transfer,
     TransferKind,
-};
-pub use solve_ops::{
-    batched_apply_qt, batched_lu, batched_lu_solve, batched_qr, batched_transpose, batched_trsm,
 };

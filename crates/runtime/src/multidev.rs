@@ -96,9 +96,9 @@ pub mod cost {
         2 * fetch_bytes_p(rows, d, prec)
     }
 
-    // ---- solver-sweep formulas (batched ULV elimination and the
-    // triangular solve sweeps; shared by `simulate_solve`, the batched
-    // primitives in `crate::solve_ops`, and `h2_sched`'s sharded sweep) ----
+    // ---- solver formulas (ULV elimination and the triangular solve
+    // sweeps; shared by `simulate_solve`, the factor's flop model in
+    // `h2_solve::ulv`, and `h2_sched`'s sharded sweep) ----
 
     /// LU factorization flops of an `n × n` pivot block (`2n³/3`).
     pub fn lu_flops(n: usize) -> f64 {

@@ -41,13 +41,9 @@ pub enum Kernel {
     /// the byte traffic is tracked separately via
     /// [`Profile::pack_bytes`]).
     Pack,
-    /// Batched LU factorization (ULV pivot blocks, `batchedGETRF`).
-    Lu,
-    /// Batched triangular solve (`batchedTRSM`; an LU solve records two).
-    Trsm,
 }
 
-pub const KERNEL_COUNT: usize = 14;
+pub const KERNEL_COUNT: usize = 12;
 
 impl Kernel {
     pub const ALL: [Kernel; KERNEL_COUNT] = [
@@ -63,8 +59,6 @@ impl Kernel {
         Kernel::PrefixSum,
         Kernel::Gemv,
         Kernel::Pack,
-        Kernel::Lu,
-        Kernel::Trsm,
     ];
 
     fn index(self) -> usize {
@@ -81,8 +75,6 @@ impl Kernel {
             Kernel::PrefixSum => 9,
             Kernel::Gemv => 10,
             Kernel::Pack => 11,
-            Kernel::Lu => 12,
-            Kernel::Trsm => 13,
         }
     }
 
@@ -108,8 +100,6 @@ impl Kernel {
             Kernel::PrefixSum => "prefixSum",
             Kernel::Gemv => "gemv",
             Kernel::Pack => "gemmPack",
-            Kernel::Lu => "batchedGETRF",
-            Kernel::Trsm => "batchedTRSM",
         }
     }
 }

@@ -69,7 +69,7 @@ impl Runtime {
     }
 
     /// Attach an observability tracer: [`Runtime::phase`] and the batched
-    /// drivers (construction level loop, ULV per-level phases) emit scoped
+    /// drivers (the construction level loop) emit scoped
     /// spans into it. `None` (the default) costs nothing on any hot path.
     pub fn set_tracer(&mut self, tracer: Arc<h2_obs::Tracer>) {
         self.tracer = Some(tracer);

@@ -955,6 +955,31 @@ pub fn cgs_with(
     }
 }
 
+/// Hutchinson stochastic trace estimator `tr(A) ≈ mean(zᵀ A z)` with
+/// Rademacher probes — the "trace estimation in Bayesian optimization" use
+/// case from the paper's introduction.
+pub fn hutchinson_trace(a: &dyn LinOp, probes: usize, seed: u64) -> f64 {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let n = a.nrows();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut acc = 0.0;
+    let mut z = Mat::zeros(n, 1);
+    let mut az = Mat::zeros(n, 1);
+    for _ in 0..probes.max(1) {
+        for i in 0..n {
+            z[(i, 0)] = if rng.random::<bool>() { 1.0 } else { -1.0 };
+        }
+        a.apply(z.rf(), az.rm());
+        let mut dot = 0.0;
+        for i in 0..n {
+            dot += z[(i, 0)] * az[(i, 0)];
+        }
+        acc += dot;
+    }
+    acc / probes.max(1) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -997,6 +1022,17 @@ mod tests {
         let res = pcg(&op, &Identity { n: 60 }, &b, 200, 1e-10);
         assert!(res.history.len() >= 2);
         assert!(res.history.last().unwrap() < &res.history[0]);
+    }
+
+    #[test]
+    fn hutchinson_estimates_trace() {
+        let (op, _) = spd_problem(60, 6);
+        let exact: f64 = (0..60).map(|i| op.a[(i, i)]).sum();
+        let est = hutchinson_trace(&op, 400, 7);
+        assert!(
+            (est - exact).abs() < 0.1 * exact,
+            "est {est} vs exact {exact}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! ULV direct factorization of weak-admissibility (HSS-pattern) H2
-//! matrices — both side layouts, per-level batched elimination.
+//! matrices — both side layouts, one level-mapped elimination.
 //!
 //! The paper's bottom-up construction is motivated by fast H2 *arithmetic* —
 //! inversion is its stated follow-up. For the weak-admissibility case the
@@ -47,19 +47,19 @@
 //! storage tier; only the represented operator itself differs from the
 //! original kernel by the (tolerance-bounded) demotion error.
 //!
-//! ## Per-level batched phases
+//! ## One level-mapped schedule
 //!
-//! The default schedule ([`UlvSchedule::Batched`]) runs the elimination as
-//! three batched phases per level — **rotate** (marshal the reduced bases
-//! and diagonal blocks into [`h2_runtime::VarBatch`] workspaces,
-//! [`h2_runtime::batched_qr`], two one-sided
-//! [`h2_runtime::batched_apply_qt`] rotations), **eliminate**
-//! ([`h2_runtime::batched_lu`] of the pivot blocks,
-//! [`h2_runtime::batched_lu_solve`], one batched Schur GEMM), and
-//! **pass-up** (parent assembly) — mirroring the paper's
-//! one-workspace-per-level execution model. Each node's arithmetic is
-//! identical to the retained per-node reference schedule
-//! ([`UlvSchedule::PerNode`]), so the two produce bit-identical factors.
+//! The factorization walks the tree bottom-up and maps one per-node
+//! elimination over the independent nodes of each level
+//! ([`Runtime::map_index_costed`]): a node assembles its reduced diagonal
+//! block (the stored leaf block, or its children's Schur complements
+//! around their rotated coupling), forms its reduced bases, and runs
+//! steps 1–2 above. The GPU formulation marshals each phase of a level
+//! into one batched workspace to amortize kernel launches; on CPU threads
+//! there are no launches to save, and a marshaled schedule with the same
+//! per-node arithmetic measured slower on every `BENCH_solve` row, so it
+//! was dropped. No node's arithmetic depends on the thread that runs it,
+//! so the factor is bit-identical to a sequential node-by-node pass.
 //!
 //! The factorization is exact for the represented matrix (up to roundoff),
 //! so `‖K_H2 x − b‖ ≈ ε_machine`, while `‖K x − b‖` reflects the
@@ -70,13 +70,10 @@
 
 use crate::precond::Preconditioner;
 use crate::smallops::stored_op;
-use h2_dense::{gemm, gemm_rhs, lu_factor, matmul, qr_factor, LuFactor, Mat, MatMut, Op, QrFactor};
+use h2_dense::{gemm, gemm_rhs, lu_factor, matmul, qr_factor, LuFactor, Mat, Op, QrFactor};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
-use h2_runtime::{
-    batched_apply_qt, batched_lu, batched_lu_solve, batched_qr, batched_transpose, Kernel, Runtime,
-    SolveLevel, SolveSpec, VarBatch,
-};
+use h2_runtime::{Runtime, SolveLevel, SolveSpec};
 use h2_tree::{Admissibility, ClusterTree};
 use std::sync::Arc;
 
@@ -106,18 +103,6 @@ impl std::fmt::Display for UlvError {
 }
 
 impl std::error::Error for UlvError {}
-
-/// Which elimination schedule the factorization runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UlvSchedule {
-    /// Node-at-a-time reference path (the classical recursion flattened to
-    /// a level loop). Retained as the ground truth the batched schedule is
-    /// validated against.
-    PerNode,
-    /// Per-level batched phases (rotate, eliminate, pass-up) over
-    /// [`VarBatch`] workspaces — the default.
-    Batched,
-}
 
 /// Per-node factorization data.
 struct NodeFactor {
@@ -177,29 +162,32 @@ pub struct UlvFactor {
     n: usize,
 }
 
-/// Fill `out` with the reduced basis of `id` on one side: the leaf basis
-/// itself, or the stacked child transfer scaled by the children's
-/// (padded) triangular factors.
-fn fill_reduced_basis(
-    h2: &H2Matrix,
-    nodes: &[Option<NodeFactor>],
-    l: usize,
-    leaf_level: usize,
-    id: usize,
-    col_side: bool,
-    mut out: MatMut<'_>,
-) {
+/// Rows of the reduced block of `id`: the leaf size, or the children's
+/// retained counts stacked.
+fn reduced_size(h2: &H2Matrix, nodes: &[Option<NodeFactor>], id: usize) -> usize {
+    match h2.tree.nodes[id].children {
+        None => h2.tree.nodes[id].len(),
+        Some((c1, c2)) => [c1, c2]
+            .iter()
+            .map(|&c| nodes[c].as_ref().expect("child factor").k)
+            .sum(),
+    }
+}
+
+/// The reduced basis of `id` on one side: the leaf basis itself, or the
+/// stacked child transfer scaled by the children's (padded) triangular
+/// factors.
+fn reduced_basis(h2: &H2Matrix, nodes: &[Option<NodeFactor>], id: usize, col_side: bool) -> Mat {
     let basis = if col_side {
         h2.col_basis_of(id)
     } else {
         h2.row_basis_of(id)
     };
-    if l == leaf_level {
-        out.copy_from(basis.rf());
-        return;
-    }
-    let (c1, c2) = h2.tree.nodes[id].children.unwrap();
+    let Some((c1, c2)) = h2.tree.nodes[id].children else {
+        return basis.clone();
+    };
     let kp = basis.cols();
+    let mut out = Mat::zeros(reduced_size(h2, nodes, id), kp);
     let mut row_off = 0;
     let mut et_off = 0;
     for c in [c1, c2] {
@@ -207,14 +195,14 @@ fn fill_reduced_basis(
         let f = if col_side { nf.s_pad() } else { &nf.r };
         let (kc, rc) = (f.rows(), f.cols());
         if kc > 0 && rc > 0 && kp > 0 {
-            h2_dense::gemm(
+            gemm(
                 Op::NoTrans,
                 Op::NoTrans,
                 1.0,
                 f.rf(),
                 basis.view(et_off, 0, rc, kp),
                 0.0,
-                out.rb_mut().into_view(row_off, 0, kc, kp),
+                out.view_mut(row_off, 0, kc, kp),
             );
         }
         row_off += kc;
@@ -222,19 +210,87 @@ fn fill_reduced_basis(
     }
     debug_assert_eq!(row_off, out.rows(), "reduced basis rows at node {id}");
     debug_assert_eq!(et_off, basis.rows(), "transfer split at node {id}");
+    out
 }
 
-/// Split the rotated block, LU the pivot, form the Schur complement and
-/// pack the node factor — the arithmetic shared verbatim by both
-/// schedules.
-fn build_factor(
+/// Rotated sibling coupling in retained coordinates:
+/// `R_s · op(B_{s,t}) · S_tᵀ` (`k_s × k_t`), through the store's
+/// orientation flag rather than a materialized transpose.
+fn rotated_coupling(
+    h2: &H2Matrix,
+    nf_s: &NodeFactor,
+    nf_t: &NodeFactor,
+    s: usize,
+    t: usize,
+) -> Mat {
+    match h2.coupling.get_op(s, t, false) {
+        Some((b, tr)) => {
+            let bt = matmul(stored_op(tr), Op::Trans, b.rf(), nf_t.s_pad().rf());
+            matmul(Op::NoTrans, Op::NoTrans, nf_s.r.rf(), bt.rf())
+        }
+        None => Mat::zeros(nf_s.k, nf_t.k),
+    }
+}
+
+/// The reduced diagonal block of `id`: the stored block at a leaf, else
+/// the pass-up of its children's Schur complements around their rotated
+/// sibling coupling.
+fn reduced_block(
+    h2: &H2Matrix,
+    nodes: &[Option<NodeFactor>],
+    schur: &[Option<Mat>],
     id: usize,
-    drot: &Mat,
-    row_qr: QrFactor,
-    col_qr: Option<QrFactor>,
-    k: usize,
-    e: usize,
+) -> Mat {
+    let Some((c1, c2)) = h2.tree.nodes[id].children else {
+        let (blk, tr) = h2.dense.get(id, id).expect("leaf diagonal block");
+        return if tr { blk.transpose() } else { blk.clone() };
+    };
+    let nf1 = nodes[c1].as_ref().expect("child factor");
+    let nf2 = nodes[c2].as_ref().expect("child factor");
+    let s1 = schur[c1].as_ref().expect("child Schur");
+    let s2 = schur[c2].as_ref().expect("child Schur");
+    let (k1, k2) = (nf1.k, nf2.k);
+    let c12 = rotated_coupling(h2, nf1, nf2, c1, c2);
+    let c21 = if h2.is_symmetric() {
+        c12.transpose()
+    } else {
+        rotated_coupling(h2, nf2, nf1, c2, c1)
+    };
+    let mut d = Mat::zeros(k1 + k2, k1 + k2);
+    d.view_mut(0, 0, k1, k1).copy_from(s1.rf());
+    d.view_mut(k1, k1, k2, k2).copy_from(s2.rf());
+    d.view_mut(0, k1, k1, k2).copy_from(c12.rf());
+    d.view_mut(k1, 0, k2, k1).copy_from(c21.rf());
+    d
+}
+
+/// Eliminate one node: rotate its reduced block `D̃ = Qᵀ D P` by the QRs
+/// of its reduced bases, LU the pivot block `D̃₂₂` and form the Schur
+/// complement passed up to the parent.
+fn eliminate_node(
+    h2: &H2Matrix,
+    nodes: &[Option<NodeFactor>],
+    schur: &[Option<Mat>],
+    id: usize,
 ) -> Result<(NodeFactor, Mat), UlvError> {
+    let d = reduced_block(h2, nodes, schur, id);
+    let m = d.rows();
+    let w_row = reduced_basis(h2, nodes, id, false);
+    assert_eq!(w_row.rows(), m, "reduced basis row mismatch at node {id}");
+    let w_col = (!h2.is_symmetric()).then(|| reduced_basis(h2, nodes, id, true));
+    let kr = w_row.cols();
+    let kc = w_col.as_ref().map_or(kr, |w| w.cols());
+    let k = kr.max(kc).min(m);
+    let e = m - k;
+    let row_qr = qr_factor(w_row);
+    let col_qr = w_col.map(qr_factor);
+    // Rotate: D̃ = Qᵀ D P (apply Pᵀ to the columns through a transpose).
+    let mut dt = d;
+    row_qr.apply_qt(&mut dt.rm());
+    let mut dtt = dt.transpose();
+    col_qr.as_ref().unwrap_or(&row_qr).apply_qt(&mut dtt.rm());
+    let drot = dtt.transpose();
+
     let d11 = drot.view(0, 0, k, k).to_mat();
     let d12 = drot.view(0, k, k, e).to_mat();
     let d21 = drot.view(k, 0, e, k).to_mat();
@@ -271,196 +327,37 @@ fn build_factor(
     ))
 }
 
-/// Retained size of a node given its reduced block size and side ranks.
-fn retained_size(m: usize, kr: usize, kc: usize) -> usize {
-    kr.max(kc).min(m)
-}
-
-/// One node of the reference schedule: rotate `D̃ = Qᵀ D P` and eliminate.
-fn eliminate_node(
-    id: usize,
-    d: Mat,
-    w_row: Mat,
-    w_col: Option<Mat>,
-) -> Result<(NodeFactor, Mat), UlvError> {
-    let m = d.rows();
-    assert_eq!(w_row.rows(), m, "reduced basis row mismatch at node {id}");
-    let kr = w_row.cols();
-    let kc = w_col.as_ref().map(|w| w.cols()).unwrap_or(kr);
-    let k = retained_size(m, kr, kc);
-    let e = m - k;
-    let row_qr = qr_factor(w_row);
-    let col_qr = w_col.map(qr_factor);
-    // Rotate: D̃ = Qᵀ D P (apply Pᵀ to the columns through a transpose).
-    let mut dt = d;
-    row_qr.apply_qt(&mut dt.rm());
-    let mut dtt = dt.transpose();
-    col_qr.as_ref().unwrap_or(&row_qr).apply_qt(&mut dtt.rm());
-    let drot = dtt.transpose();
-    build_factor(id, &drot, row_qr, col_qr, k, e)
-}
-
-/// Rotated sibling coupling in retained coordinates:
-/// `R_s · op(B_{s,t}) · S_tᵀ` (`k_s × k_t`), through the store's
-/// orientation flag rather than a materialized transpose.
-fn rotated_coupling(
-    h2: &H2Matrix,
-    nf_s: &NodeFactor,
-    nf_t: &NodeFactor,
-    s: usize,
-    t: usize,
-) -> Mat {
-    match h2.coupling.get_op(s, t, false) {
-        Some((b, tr)) => {
-            let bt = matmul(stored_op(tr), Op::Trans, b.rf(), nf_t.s_pad().rf());
-            matmul(Op::NoTrans, Op::NoTrans, nf_s.r.rf(), bt.rf())
-        }
-        None => Mat::zeros(nf_s.k, nf_t.k),
-    }
-}
-
-/// Pass-up: the parent's reduced diagonal block from its children's Schur
-/// complements and rotated sibling coupling.
-fn assemble_parent(
-    h2: &H2Matrix,
-    nodes: &[Option<NodeFactor>],
-    schur: &[Option<Mat>],
-    p: usize,
-) -> Mat {
-    let (c1, c2) = h2.tree.nodes[p].children.unwrap();
-    let nf1 = nodes[c1].as_ref().expect("child factor");
-    let nf2 = nodes[c2].as_ref().expect("child factor");
-    let s1 = schur[c1].as_ref().expect("child Schur");
-    let s2 = schur[c2].as_ref().expect("child Schur");
-    let (k1, k2) = (nf1.k, nf2.k);
-    let c12 = rotated_coupling(h2, nf1, nf2, c1, c2);
-    let c21 = if h2.is_symmetric() {
-        c12.transpose()
-    } else {
-        rotated_coupling(h2, nf2, nf1, c2, c1)
-    };
-    let mut d = Mat::zeros(k1 + k2, k1 + k2);
-    d.view_mut(0, 0, k1, k1).copy_from(s1.rf());
-    d.view_mut(k1, k1, k2, k2).copy_from(s2.rf());
-    d.view_mut(0, k1, k1, k2).copy_from(c12.rf());
-    d.view_mut(k1, 0, k2, k1).copy_from(c21.rf());
-    d
-}
-
 impl UlvFactor {
     /// Factor a weak-admissibility H2 matrix — symmetric or unsymmetric
-    /// side layout — with the batched per-level schedule on a parallel
-    /// runtime. O(N k²).
+    /// side layout — bottom-up, mapping the per-node elimination over each
+    /// level's nodes on a parallel runtime. O(N k²).
     pub fn new(h2: &H2Matrix) -> Result<Self, UlvError> {
-        Self::with_schedule(h2, UlvSchedule::Batched, &Runtime::parallel())
-    }
-
-    /// The retained per-node reference schedule (single-threaded).
-    pub fn new_per_node(h2: &H2Matrix) -> Result<Self, UlvError> {
-        Self::with_schedule(h2, UlvSchedule::PerNode, &Runtime::sequential())
-    }
-
-    /// Factor with an explicit schedule and runtime (the batched schedule
-    /// runs its phase kernels — QR, LU, triangular solves — through the
-    /// runtime's batched dispatch, including a sharded one).
-    pub fn with_schedule(
-        h2: &H2Matrix,
-        schedule: UlvSchedule,
-        rt: &Runtime,
-    ) -> Result<Self, UlvError> {
         if !matches!(h2.partition.rule, Admissibility::Weak) {
             return Err(UlvError::NotWeakPartition);
         }
         let tree = h2.tree.clone();
-        let leaf_level = tree.leaf_level();
         let nnodes = tree.nodes.len();
         let mut nodes: Vec<Option<NodeFactor>> = (0..nnodes).map(|_| None).collect();
-
-        // Reduced diagonal blocks, initialized at the leaves from the
-        // stored dense blocks.
-        let mut dloc: Vec<Option<Mat>> = (0..nnodes).map(|_| None).collect();
         // Schur complements awaiting assembly into the parent.
         let mut schur: Vec<Option<Mat>> = (0..nnodes).map(|_| None).collect();
-
-        if leaf_level == 0 {
-            // Single dense block: plain LU.
-            let (blk, tr) = h2.dense.get(0, 0).expect("root dense block");
-            let root = if tr { blk.transpose() } else { blk.clone() };
-            let root_size = root.rows();
-            let root_lu = lu_factor(root).ok_or(UlvError::SingularRoot)?;
-            return Ok(UlvFactor {
-                tree,
-                nodes,
-                root_lu,
-                root_size,
-                n: h2.n(),
-            });
-        }
-
-        for id in tree.level(leaf_level) {
-            let (blk, tr) = h2.dense.get(id, id).expect("leaf diagonal block");
-            dloc[id] = Some(if tr { blk.transpose() } else { blk.clone() });
-        }
-
-        for l in (1..=leaf_level).rev() {
-            let _level_span = rt.trace_span("ulv", || format!("ulv eliminate L{l}"));
+        let rt = Runtime::parallel();
+        for l in (1..=tree.leaf_level()).rev() {
             let ids: Vec<usize> = tree.level(l).collect();
-            match schedule {
-                UlvSchedule::PerNode => {
-                    for &id in &ids {
-                        let d = dloc[id].take().expect("reduced diagonal block");
-                        let m = d.rows();
-                        let mut w_row = Mat::zeros(m, h2.row_basis_of(id).cols());
-                        fill_reduced_basis(h2, &nodes, l, leaf_level, id, false, w_row.rm());
-                        let w_col = (!h2.is_symmetric()).then(|| {
-                            let mut w = Mat::zeros(m, h2.col_basis_of(id).cols());
-                            fill_reduced_basis(h2, &nodes, l, leaf_level, id, true, w.rm());
-                            w
-                        });
-                        let (nf, sc) = eliminate_node(id, d, w_row, w_col)?;
-                        schur[id] = Some(sc);
-                        nodes[id] = Some(nf);
-                    }
-                }
-                UlvSchedule::Batched => {
-                    eliminate_level_batched(
-                        rt, h2, &ids, l, leaf_level, &mut dloc, &mut nodes, &mut schur,
-                    )?;
-                }
-            }
-
-            // ---- pass-up phase: assemble parents' reduced blocks ----
-            let _passup_span = rt.trace_span("ulv", || format!("ulv pass-up L{l}"));
-            let parents: Vec<usize> = tree.level(l - 1).collect();
-            let assembled: Vec<Mat> = match schedule {
-                UlvSchedule::PerNode => parents
-                    .iter()
-                    .map(|&p| assemble_parent(h2, &nodes, &schur, p))
-                    .collect(),
-                UlvSchedule::Batched => {
-                    rt.launch(Kernel::Marshal);
-                    rt.launch(Kernel::Gemm);
-                    let nodes_ref = &nodes;
-                    let schur_ref = &schur;
-                    let parents_ref = &parents;
-                    let cost_of = |j: usize| {
-                        let (c1, c2) = tree.nodes[parents[j]].children.unwrap();
-                        let k1 = nodes[c1].as_ref().map(|n| n.k).unwrap_or(0);
-                        let k2 = nodes[c2].as_ref().map(|n| n.k).unwrap_or(0);
-                        let k = k1 + k2;
-                        (k * k) as f64
-                    };
-                    rt.map_index_costed(parents.len(), cost_of, |j| {
-                        assemble_parent(h2, nodes_ref, schur_ref, parents_ref[j])
-                    })
-                }
-            };
-            for (j, d) in parents.iter().zip(assembled) {
-                dloc[*j] = Some(d);
+            let (nodes_ref, schur_ref) = (&nodes, &schur);
+            // Cost-aware chunking over the reduced block size `m` (QR,
+            // rotation and pivot LU are all O(m³) at worst).
+            let cost_of = |i: usize| (reduced_size(h2, nodes_ref, ids[i]) as f64).powi(3);
+            let eliminated = rt.map_index_costed(ids.len(), cost_of, |i| {
+                eliminate_node(h2, nodes_ref, schur_ref, ids[i])
+            });
+            for (&id, res) in ids.iter().zip(eliminated) {
+                let (nf, sc) = res?;
+                nodes[id] = Some(nf);
+                schur[id] = Some(sc);
             }
         }
 
-        let root_d = dloc[0].take().expect("root system");
+        let root_d = reduced_block(h2, &nodes, &schur, 0);
         let root_size = root_d.rows();
         let root_lu = lu_factor(root_d).ok_or(UlvError::SingularRoot)?;
         Ok(UlvFactor {
@@ -680,151 +577,6 @@ impl UlvFactor {
     }
 }
 
-/// The batched per-level elimination: rotate, eliminate, expressed as
-/// [`VarBatch`] jobs (the pass-up phase lives in the caller's level loop).
-#[allow(clippy::too_many_arguments)]
-fn eliminate_level_batched(
-    rt: &Runtime,
-    h2: &H2Matrix,
-    ids: &[usize],
-    l: usize,
-    leaf_level: usize,
-    dloc: &mut [Option<Mat>],
-    nodes: &mut [Option<NodeFactor>],
-    schur: &mut [Option<Mat>],
-) -> Result<(), UlvError> {
-    let n = ids.len();
-    let ms: Vec<usize> = ids
-        .iter()
-        .map(|&id| dloc[id].as_ref().expect("reduced block").rows())
-        .collect();
-
-    // ---- rotate phase: marshal reduced bases, batched QR, two one-sided
-    // rotations ----
-    rt.launch(Kernel::PrefixSum);
-    rt.launch(Kernel::Marshal);
-    let kr: Vec<usize> = ids.iter().map(|&id| h2.row_basis_of(id).cols()).collect();
-    let mut wrow = VarBatch::zeros(ms.clone(), kr.clone());
-    {
-        let nodes_ref: &[Option<NodeFactor>] = nodes;
-        wrow.for_each_mut(rt.is_parallel(), |i, m| {
-            fill_reduced_basis(h2, nodes_ref, l, leaf_level, ids[i], false, m);
-        });
-    }
-    let row_qrs = batched_qr(rt, &wrow);
-    drop(wrow);
-    let (kc, col_qrs): (Vec<usize>, Option<Vec<QrFactor>>) = if h2.is_symmetric() {
-        (kr.clone(), None)
-    } else {
-        let kc: Vec<usize> = ids.iter().map(|&id| h2.col_basis_of(id).cols()).collect();
-        rt.launch(Kernel::Marshal);
-        let mut wcol = VarBatch::zeros(ms.clone(), kc.clone());
-        {
-            let nodes_ref: &[Option<NodeFactor>] = nodes;
-            wcol.for_each_mut(rt.is_parallel(), |i, m| {
-                fill_reduced_basis(h2, nodes_ref, l, leaf_level, ids[i], true, m);
-            });
-        }
-        (kc, Some(batched_qr(rt, &wcol)))
-    };
-
-    rt.launch(Kernel::Marshal);
-    let mut dbatch = VarBatch::zeros(ms.clone(), ms.clone());
-    for (i, &id) in ids.iter().enumerate() {
-        let d = dloc[id].take().expect("reduced diagonal block");
-        dbatch.set(i, d.rf());
-    }
-    batched_apply_qt(rt, &row_qrs, &mut dbatch);
-    let mut dt = batched_transpose(rt, &dbatch);
-    batched_apply_qt(rt, col_qrs.as_ref().unwrap_or(&row_qrs), &mut dt);
-    let drot = batched_transpose(rt, &dt);
-    drop(dbatch);
-    drop(dt);
-
-    // ---- eliminate phase: batched LU of the pivot blocks, batched
-    // triangular solves, one batched Schur GEMM ----
-    let ks: Vec<usize> = (0..n).map(|i| retained_size(ms[i], kr[i], kc[i])).collect();
-    let es: Vec<usize> = (0..n).map(|i| ms[i] - ks[i]).collect();
-    rt.launch(Kernel::Marshal);
-    let mut d22 = VarBatch::zeros(es.clone(), es.clone());
-    {
-        let drot_ref = &drot;
-        let ks_ref = &ks;
-        d22.for_each_mut(rt.is_parallel(), |i, mut m| {
-            let k = ks_ref[i];
-            m.copy_from(drot_ref.mat(i).view(k, k, m.rows(), m.cols()));
-        });
-    }
-    let lus = batched_lu(rt, &d22);
-    drop(d22);
-    let mut lu22s: Vec<LuFactor> = Vec::with_capacity(n);
-    for (i, lu) in lus.into_iter().enumerate() {
-        lu22s.push(lu.ok_or(UlvError::SingularBlock(ids[i]))?);
-    }
-
-    rt.launch(Kernel::Marshal);
-    let mut z = VarBatch::zeros(es.clone(), ks.clone());
-    {
-        let drot_ref = &drot;
-        let ks_ref = &ks;
-        z.for_each_mut(rt.is_parallel(), |i, mut m| {
-            m.copy_from(drot_ref.mat(i).view(ks_ref[i], 0, m.rows(), m.cols()));
-        });
-    }
-    batched_lu_solve(rt, &lu22s, &mut z);
-
-    rt.launch(Kernel::Gemm);
-    let mut sb = VarBatch::zeros(ks.clone(), ks.clone());
-    {
-        let drot_ref = &drot;
-        let z_ref = &z;
-        let (ks_ref, es_ref) = (&ks, &es);
-        sb.for_each_mut_costed(
-            rt.is_parallel(),
-            |i| cost::gemm_flops(ks[i], es[i], ks[i]).max(1.0),
-            |i, mut m| {
-                let (k, e) = (ks_ref[i], es_ref[i]);
-                m.copy_from(drot_ref.mat(i).view(0, 0, k, k));
-                if e > 0 && k > 0 {
-                    h2_dense::gemm(
-                        Op::NoTrans,
-                        Op::NoTrans,
-                        -1.0,
-                        drot_ref.mat(i).view(0, k, k, e),
-                        z_ref.mat(i),
-                        1.0,
-                        m,
-                    );
-                }
-            },
-        );
-    }
-
-    // ---- pack the per-node factors ----
-    let mut col_iter = col_qrs.map(|v| v.into_iter());
-    for (i, (row_qr, lu22)) in row_qrs.into_iter().zip(lu22s).enumerate() {
-        let id = ids[i];
-        let (k, e) = (ks[i], es[i]);
-        let col_qr = col_iter.as_mut().map(|it| it.next().expect("col factor"));
-        let drot_i = drot.mat(i);
-        let r = padded_r(&row_qr, k);
-        let s = col_qr.as_ref().map(|q| padded_r(q, k));
-        nodes[id] = Some(NodeFactor {
-            row_qr,
-            col_qr,
-            k,
-            e,
-            lu22,
-            d12: drot_i.view(0, k, k, e).to_mat(),
-            d21: drot_i.view(k, 0, e, k).to_mat(),
-            r,
-            s,
-        });
-        schur[id] = Some(sb.to_mat(i));
-    }
-    Ok(())
-}
-
 /// Per-node kernels of the ULV triangular solve sweeps — the solver
 /// analogue of [`h2_matrix::ApplyPhases`]: [`UlvFactor::solve`] drives them
 /// in-process, `h2_sched::shard_ulv_solve` drives the same kernels level by
@@ -997,39 +749,21 @@ mod tests {
         assert!(rel < 1e-12, "unsym ULV vs dense LU rel {rel}");
     }
 
-    /// The transpose product through the same factorization's operator:
-    /// `K x` with `x = K⁻¹ b` must reproduce `b` even though row and
-    /// column bases differ (catches side mix-ups in the two rotations).
+    /// Symmetric counterpart: the single-QR elimination against a dense
+    /// LU of the extracted compressed operator.
     #[test]
-    fn unsym_batched_matches_per_node() {
-        let (h2, _) = unsym_hss_1d(384, 3.0);
-        let batched = UlvFactor::new(&h2).unwrap();
-        let per_node = UlvFactor::new_per_node(&h2).unwrap();
-        let b = gaussian_mat(384, 3, 24);
-        let xb = batched.solve(&b);
-        let xp = per_node.solve(&b);
-        let mut d = xb;
-        d.axpy(-1.0, &xp);
-        let rel = d.norm_fro() / xp.norm_fro().max(1e-300);
-        assert!(
-            rel <= 1e-13,
-            "batched vs per-node elimination diverged: rel {rel}"
-        );
-    }
-
-    #[test]
-    fn sym_batched_matches_per_node() {
+    fn sym_ulv_matches_dense_lu_of_compressed_operator() {
         let (mut h2, _) = hss_1d(512, 1e-9, 21);
         shift_diag(&mut h2, 2.0);
-        let batched = UlvFactor::new(&h2).unwrap();
-        let per_node = UlvFactor::new_per_node(&h2).unwrap();
+        assert!(h2.is_symmetric(), "test needs the aliased column side");
+        let ulv = UlvFactor::new(&h2).unwrap();
         let b = gaussian_mat(512, 2, 25);
-        let xb = batched.solve(&b);
-        let xp = per_node.solve(&b);
-        let mut d = xb;
-        d.axpy(-1.0, &xp);
-        let rel = d.norm_fro() / xp.norm_fro().max(1e-300);
-        assert!(rel <= 1e-13, "sym batched vs per-node rel {rel}");
+        let x = ulv.solve(&b);
+        let want = lu_factor(h2.to_dense()).unwrap().solve(&b);
+        let mut dxy = x;
+        dxy.axpy(-1.0, &want);
+        let rel = dxy.norm_fro() / want.norm_fro();
+        assert!(rel < 1e-12, "sym ULV vs dense LU rel {rel}");
     }
 
     #[test]
@@ -1099,12 +833,9 @@ mod tests {
         let rows = h2.dense.blocks[idx].rows();
         assert!(h2.rank(leaf) < rows, "leaf must eliminate something");
         h2.dense.blocks[idx] = Mat::zeros(rows, rows);
-        for schedule in [UlvSchedule::Batched, UlvSchedule::PerNode] {
-            let rt = Runtime::sequential();
-            match UlvFactor::with_schedule(&h2, schedule, &rt) {
-                Err(UlvError::SingularBlock(id)) => assert_eq!(id, leaf),
-                other => panic!("expected SingularBlock, got {:?}", other.err()),
-            }
+        match UlvFactor::new(&h2) {
+            Err(UlvError::SingularBlock(id)) => assert_eq!(id, leaf),
+            other => panic!("expected SingularBlock, got {:?}", other.err()),
         }
     }
 

@@ -105,7 +105,7 @@ mod ulv_props {
     use h2_dense::{gaussian_mat, lu_factor};
     use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
     use h2_runtime::Runtime;
-    use h2_solve::{UlvFactor, UlvSchedule};
+    use h2_solve::UlvFactor;
     use h2_tree::{Admissibility, ClusterTree, Partition};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -157,8 +157,7 @@ mod ulv_props {
 
         /// The LU-flavored (unsymmetric) ULV solves random weak-admissibility
         /// two-stream instances to near machine precision against a dense LU
-        /// of the *extracted* compressed operator, and the batched per-level
-        /// elimination stays within 1e-13 of the per-node reference.
+        /// of the *extracted* compressed operator.
         #[test]
         fn unsym_ulv_matches_dense_lu(
             n in 96usize..320,
@@ -195,16 +194,10 @@ mod ulv_props {
             // Exactness on the compressed operator: dense LU of extraction.
             let dense = hss.to_dense();
             let want = lu_factor(dense).unwrap().solve(&b);
-            let mut d = x.clone();
+            let mut d = x;
             d.axpy(-1.0, &want);
             let rel = d.norm_fro() / want.norm_fro().max(1e-300);
             prop_assert!(rel < 1e-12, "unsym ULV vs dense LU rel {rel} at n={n} leaf={leaf}");
-            // Batched and per-node schedules agree.
-            let pn = UlvFactor::with_schedule(&hss, UlvSchedule::PerNode, &rt).unwrap();
-            let xp = pn.solve(&b);
-            let mut dd = x;
-            dd.axpy(-1.0, &xp);
-            prop_assert!(dd.norm_fro() <= 1e-13 * xp.norm_fro().max(1e-300));
         }
 
         /// ULV of an f32-storage matrix is the exact factorization of the

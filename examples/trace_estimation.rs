@@ -6,11 +6,12 @@
 //! cargo run --release --example trace_estimation
 //! ```
 
-use h2sketch::dense::{hutchinson_trace, EntryAccess};
+use h2sketch::dense::EntryAccess;
 use h2sketch::kernels::{Kernel, KernelMatrix};
 use h2sketch::matrix::{direct_construct, DirectConfig};
 use h2sketch::runtime::Runtime;
 use h2sketch::sketch::{sketch_construct, SketchConfig};
+use h2sketch::solve::hutchinson_trace;
 use h2sketch::tree::{uniform_cube, Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
